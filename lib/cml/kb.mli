@@ -86,6 +86,10 @@ val cache_stats : t -> cache_stats
     to base changes and invalidate only the affected entries, so
     steady-state classification queries are O(1). *)
 
+val is_attribute_prop : Prop.t -> bool
+(** An attribute proposition: not an individual, not a reserved
+    ([instanceof]/[isa]) link. *)
+
 val attributes : t -> ?category:string -> Prop.id -> Prop.t list
 (** Attribute propositions leaving the object (non-reserved labels),
     optionally restricted to instances of the named attribute category. *)

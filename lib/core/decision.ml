@@ -476,6 +476,17 @@ let decision_class_of repo dec =
   | c :: _ -> Some (Symbol.name c)
   | [] -> None
 
+(* by, rationale and obligation links are never inputs or outputs *)
+let bookkeeping_label label =
+  match Symbol.name label with
+  | "by" | "rationale" | "obligation" -> true
+  | _ -> false
+
+(* the role kind of one attribute link of a decision instance of class [dc] *)
+let link_kind repo dc (p : Prop.t) =
+  if bookkeeping_label p.label then `Other
+  else role_kind repo dc (Symbol.name p.label)
+
 let links_of_kind repo dec kind =
   let kb = Repo.kb repo in
   match Kb.classes_of kb dec with
@@ -483,14 +494,34 @@ let links_of_kind repo dec kind =
   | dc :: _ ->
     List.filter_map
       (fun (p : Prop.t) ->
-        let role = Symbol.name p.label in
-        if role = "by" || role = "rationale" || role = "obligation" then None
-        else if role_kind repo dc role = kind then Some (role, p.dest)
+        if link_kind repo dc p = kind then Some (Symbol.name p.label, p.dest)
         else None)
       (Kb.attributes kb dec)
 
 let inputs_of repo dec = links_of_kind repo dec `Input
 let outputs_of repo dec = links_of_kind repo dec `Output
+
+(* the label test comes first: it is what makes a tool's many [by]
+   links cheap to skip *)
+let classify_link repo (p : Prop.t) =
+  if bookkeeping_label p.label || not (Kb.is_attribute_prop p) then `Other
+  else
+    match Kb.classes_of (Repo.kb repo) p.source with
+    | dc :: _ -> role_kind repo dc (Symbol.name p.label)
+    | [] -> `Other
+
+(* Only the links arriving at [obj] are classified, each by its own
+   role, so a node every decision points at (a tool via [by]) costs a
+   label comparison per link, not an [inputs_of] per decision. *)
+let consumers repo obj =
+  let position d = Option.value (Repo.log_position repo d) ~default:(-1) in
+  List.filter_map
+    (fun (p : Prop.t) ->
+      if Repo.is_logged repo p.source && classify_link repo p = `Input then
+        Some p.source
+      else None)
+    (Store.Base.by_dest (Kb.base (Repo.kb repo)) obj)
+  |> List.sort_uniq (fun a b -> compare (position a) (position b))
 
 let tool_of repo dec =
   match Kb.attribute_values (Repo.kb repo) dec "by" with

@@ -70,6 +70,19 @@ val open_obligations : Repository.t -> Prop.id -> string list
 val inputs_of : Repository.t -> Prop.id -> (string * Prop.id) list
 val outputs_of : Repository.t -> Prop.id -> (string * Prop.id) list
 val tool_of : Repository.t -> Prop.id -> string option
+
+val classify_link : Repository.t -> Prop.t -> [ `Input | `Output | `Other ]
+(** The role kind a KB link plays for its source, read as a decision
+    instance: [`Input] for a FROM role, [`Output] for a TO role, [`Other]
+    for everything else (by/rationale/obligation links, non-attribute
+    links, sources without a class).  {!inputs_of} and {!outputs_of} are
+    exactly the links of a decision classified [`Input]/[`Output]. *)
+
+val consumers : Repository.t -> Prop.id -> Prop.id list
+(** Logged decisions that take the object as input, in log order.
+    Reads only the links arriving at the object, so it costs
+    O(in-degree), not O(history). *)
+
 val rationale_of : Repository.t -> Prop.id -> string option
 val params_of : Repository.t -> Prop.id -> (string * string) list
 val assumptions_of : Repository.t -> Prop.id -> (string * string) list

@@ -14,6 +14,19 @@ val build : Repository.t -> Kbgraph.Digraph.t
     [decision --to--> output], [decision --by--> tool],
     [new_version --replaces--> old_version]. *)
 
+val successors : Repository.t -> Prop.id -> (Symbol.t * Prop.id) list
+(** The edges of {!build} leaving one node, computed from the KB around
+    it without building the graph: a logged decision's [to] outputs and
+    [by] tool, [from] edges to the logged decisions consuming the node
+    ({!Decision.consumers}), and a design object's [replaces] edges.
+    Costs the node's degree, not the history's length.  Unordered and
+    possibly with duplicates where {!build} would merge them. *)
+
+val in_graph : Repository.t -> Prop.id -> bool
+(** Whether {!build} would have the node: it is a logged decision, has
+    a successor, or is the target of a KB link whose source has it as a
+    successor. *)
+
 val zoom : Kbgraph.Digraph.t -> focus:Prop.id -> radius:int -> Kbgraph.Digraph.t
 (** The neighborhood of a focus node up to the given distance (in either
     edge direction) — coarse or fine granularity of the display. *)
@@ -25,7 +38,10 @@ val consequences :
     input, and so on.  [dec] itself heads the decision list. *)
 
 val pp : Repository.t -> Format.formatter -> Prop.id -> unit
-(** ASCII rendering of the dependency graph from a focus. *)
+(** ASCII rendering of the dependency graph from a focus, walked
+    through {!successors}: byte-identical to rendering {!build}'s graph
+    with [Kbgraph.Digraph.pp_ascii_dag ~max_depth:8], at the cost of the
+    rendered neighbourhood. *)
 
 val to_dot : Repository.t -> string
 (** DOT rendering with decisions boxed and tools dashed. *)

@@ -254,8 +254,7 @@ let recover ?register_tools ~dir () =
           let id = Symbol.intern name in
           (* a decision already in the checkpoint's log is a replayed
              pre-checkpoint suffix record — skip it *)
-          if not (List.exists (Symbol.equal id) (Repo.decision_log repo))
-          then begin
+          if not (Repo.is_logged repo id) then begin
             Repo.log_decision repo id;
             recovered := name :: !recovered
           end

@@ -25,12 +25,6 @@ let level_of repo obj =
       else None)
     Metamodel.levels
 
-let consuming_decisions repo obj =
-  List.filter
-    (fun dec ->
-      List.exists (fun (_, i) -> Symbol.equal i obj) (Decision.inputs_of repo dec))
-    (Repo.decision_log repo)
-
 let focus repo obj =
   let kb = Repo.kb repo in
   let classes = List.map Symbol.name (Kb.all_classes_of kb obj) in
@@ -40,7 +34,7 @@ let focus repo obj =
     @ (match Decision.justifying_decision repo obj with
       | Some dec -> [ Process_upstream dec ]
       | None -> [])
-    @ (match consuming_decisions repo obj with
+    @ (match Decision.consumers repo obj with
       | [] -> []
       | decs -> [ Process_downstream decs ])
     @
@@ -113,15 +107,12 @@ let browse_status repo ~level =
 let browse_process repo =
   (* causal order from the dependency graph; ties broken by the log *)
   let g = Depgraph.build repo in
-  let log = Repo.decision_log repo in
   let order =
     match Kbgraph.Digraph.topo_sort g with
     | Ok order -> order
-    | Error _ -> log
+    | Error _ -> Repo.decision_log repo
   in
-  let decisions =
-    List.filter (fun n -> List.exists (Symbol.equal n) log) order
-  in
+  let decisions = List.filter (Repo.is_logged repo) order in
   List.map
     (fun dec ->
       ( dec,

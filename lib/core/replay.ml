@@ -78,7 +78,7 @@ let replay_one repo dec =
     Error (Format.asprintf "not re-applicable: %a" pp_applicability not_applicable)
 
 let replay_from repo dec =
-  if not (List.exists (Symbol.equal dec) (Repo.decision_log repo)) then
+  if not (Repo.is_logged repo dec) then
     Error (Printf.sprintf "%s is not an executed decision" (Symbol.name dec))
   else begin
     let decisions, _objects = Depgraph.consequences repo dec in

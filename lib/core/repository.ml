@@ -45,6 +45,10 @@ type t = {
   artifacts : artifact Symbol.Tbl.t;
   tools : (string, tool) Hashtbl.t;
   mutable log : Prop.id list;  (** reverse chronological *)
+  log_index : int Symbol.Tbl.t;
+      (** logged decision -> sequence number, increasing in log order;
+          maintained only by [log_decision]/[unlog_decision] *)
+  mutable log_seq : int;
   mutable decision_counter : int;
   mutable change_batch : Store.Base.change list;  (** reverse order *)
   decision_justs : Tms.Jtms.justification list Symbol.Tbl.t;
@@ -127,6 +131,8 @@ let create ?(install_metamodel = true) () =
       artifacts = Symbol.Tbl.create 256;
       tools = Hashtbl.create 16;
       log = [];
+      log_index = Symbol.Tbl.create 256;
+      log_seq = 0;
       decision_counter = 0;
       change_batch = [];
       decision_justs = Symbol.Tbl.create 64;
@@ -306,13 +312,19 @@ let tools_for t decision_class =
     t.tools []
   |> List.sort (fun a b -> String.compare a.tool_name b.tool_name)
 
-let log_decision t id = t.log <- id :: t.log
+let log_decision t id =
+  t.log <- id :: t.log;
+  Symbol.Tbl.replace t.log_index id t.log_seq;
+  t.log_seq <- t.log_seq + 1
 
 let unlog_decision t id =
   t.log <- List.filter (fun d -> not (Symbol.equal d id)) t.log;
+  Symbol.Tbl.remove t.log_index id;
   emit_event t (Decision_unlogged id)
 
 let decision_log t = List.rev t.log
+let is_logged t id = Symbol.Tbl.mem t.log_index id
+let log_position t id = Symbol.Tbl.find_opt t.log_index id
 
 let fresh_decision_id t =
   t.decision_counter <- t.decision_counter + 1;

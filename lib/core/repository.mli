@@ -120,7 +120,16 @@ val tools_for : t -> string -> tool list
 val log_decision : t -> Prop.id -> unit
 val unlog_decision : t -> Prop.id -> unit
 val decision_log : t -> Prop.id list
-(** Chronological ids of executed (non-retracted) decision instances. *)
+(** Chronological ids of executed (non-retracted) decision instances.
+    O(log length): it copies the log. *)
+
+val is_logged : t -> Prop.id -> bool
+(** Membership in {!decision_log}, O(1). *)
+
+val log_position : t -> Prop.id -> int option
+(** A logged decision's sequence number: positions increase in log
+    order (they are not dense — retracted decisions leave gaps).  [None]
+    for anything not in the log.  O(1). *)
 
 val fresh_decision_id : t -> string
 

@@ -49,17 +49,27 @@ let file_sink ?(append = false) ?(fsync = false) path =
   in
   let oc = open_out_gen flags 0o644 path in
   let hist = sync_hist fsync in
+  (* a sync with nothing written since the last one has nothing to make
+     durable, so the layers above may each sync at their own boundary
+     and the file still sees one sync per durability point *)
+  let dirty = ref false in
   {
-    write = (fun s -> output_string oc s);
+    write =
+      (fun s ->
+        output_string oc s;
+        dirty := true);
     sync =
       (fun () ->
-        let t0 = Obs.Runtime.now_s () in
-        flush oc;
-        (if fsync then
-           try Unix.fsync (Unix.descr_of_out_channel oc)
-           with Unix.Unix_error _ -> ());
-        Obs.Registry.Counter.inc g_fsyncs;
-        Obs.Histogram.observe hist ((Obs.Runtime.now_s () -. t0) *. 1e6));
+        if !dirty then begin
+          let t0 = Obs.Runtime.now_s () in
+          flush oc;
+          dirty := false;
+          (if fsync then
+             try Unix.fsync (Unix.descr_of_out_channel oc)
+             with Unix.Unix_error _ -> ());
+          Obs.Registry.Counter.inc g_fsyncs;
+          Obs.Histogram.observe hist ((Obs.Runtime.now_s () -. t0) *. 1e6)
+        end);
     close = (fun () -> close_out oc);
   }
 

@@ -43,7 +43,8 @@ type sink = {
 
 val file_sink : ?append:bool -> ?fsync:bool -> string -> sink
 (** Write to a file.  [sync] flushes the channel and, when [fsync] is
-    set, forces the bytes to disk.  [append] (default false) reopens an
+    set, forces the bytes to disk; it does nothing (and counts no sync)
+    when nothing was written since the last one.  [append] (default false) reopens an
     existing log without truncating it. *)
 
 val buffer_sink : Buffer.t -> sink

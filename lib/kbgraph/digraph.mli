@@ -61,10 +61,18 @@ val to_dot :
 (** Graphviz rendering — the stand-in for the paper's graphical DAG
     browser. *)
 
+val pp_ascii_unfold :
+  ?max_depth:int -> ?max_width:int -> ?show_label:bool ->
+  succ:(node -> (Symbol.t * node) list) -> Format.formatter -> node -> unit
+(** Render the DAG unfolded from a root as an indented tree, the textual
+    DAG browser of §3.3.1, asking [succ] for each printed node's labelled
+    successors (duplicates are shown once; order is irrelevant, children
+    are sorted).  Only the rendered nodes are expanded, so a caller can
+    walk a graph it never materializes.  Nodes already printed are shown
+    once more with a back-reference marker; [max_depth]/[max_width]
+    implement the browser's dynamically defined depth and width. *)
+
 val pp_ascii_dag :
   ?max_depth:int -> ?max_width:int -> ?show_label:bool ->
   t -> Format.formatter -> node -> unit
-(** Render the DAG unfolded from a root as an indented tree, the textual
-    DAG browser of §3.3.1.  Nodes already printed on the current path are
-    shown once with a back-reference marker; [max_depth]/[max_width]
-    implement the browser's dynamically defined depth and width. *)
+(** {!pp_ascii_unfold} over the graph's own successors. *)

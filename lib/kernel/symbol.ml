@@ -4,56 +4,59 @@ type t = int
    bodies and consistency checks on several domains, and every one of
    them interns and resolves symbols.  The hot path — looking up an
    already-interned string — is lock-free: an open-addressed table of
-   atomic slots, published as a whole through [table] so it can be
-   resized.  Inserts take [write_m], re-probe, and only then allocate a
-   fresh id.  Slots are only ever written under the mutex; readers see
-   a slot either empty (and fall through to the locked slow path) or
-   fully published.
+   symbol ids (-1 for an empty slot) whose strings live in [names],
+   published as a whole through [table] so it can be resized.  Inserts
+   take [write_m], re-probe, and only then allocate a fresh id.  Slots
+   and names are only ever written under the mutex.
+
+   The slots are plain ints, so a symbol costs its string, one names
+   entry and about two table words — no per-slot or per-symbol boxes,
+   which matters because every proposition id is a symbol.  A lock-free
+   probe racing an insert may see a slot still empty, or a new id before
+   its string (or before the grown names array that holds it): either
+   way the comparison fails, the probe misses, and the locked slow path,
+   which sees every completed insert, decides.  A race thus costs a
+   lock, never a wrong id.  The one string a stale names entry could
+   match, [""], always takes the locked path.
 
    Publication order matters for [name]: the string is stored into the
    names array (and the grown array is published through [names])
-   *before* the slot for the new id becomes visible, so any domain that
-   can observe an id can also resolve it. *)
+   before the id is handed out, so any domain that can observe an id
+   can also resolve it. *)
 
-type table = { mask : int; slots : (string * int) option Atomic.t array }
+type table = { mask : int; slots : int array }
 
-let mk_table cap =
-  { mask = cap - 1; slots = Array.init cap (fun _ -> Atomic.make None) }
-
+let mk_table cap = { mask = cap - 1; slots = Array.make cap (-1) }
 let table = Atomic.make (mk_table 4096)
 let names : string array Atomic.t = Atomic.make (Array.make 4096 "")
 let next = Atomic.make 0
 let write_m = Mutex.create ()
 
-(* linear probing; [None] means [s] was not yet published in [tbl] *)
+(* linear probing; [None] means [s] was not (visibly) in [tbl] *)
 let probe tbl s =
+  let names = Atomic.get names in
   let rec go j idx =
-    match Atomic.get tbl.slots.(idx) with
-    | Some (s', i) when String.equal s' s -> Some i
-    | Some _ -> if j = tbl.mask then None else go (j + 1) ((idx + 1) land tbl.mask)
-    | None -> None
+    let i = tbl.slots.(idx) in
+    if i < 0 then None
+    else if i < Array.length names && String.equal names.(i) s then Some i
+    else if j = tbl.mask then None
+    else go (j + 1) ((idx + 1) land tbl.mask)
   in
   go 0 (Hashtbl.hash s land tbl.mask)
 
 (* writers only (under [write_m]) *)
 let insert tbl s i =
   let rec go idx =
-    match Atomic.get tbl.slots.(idx) with
-    | None -> Atomic.set tbl.slots.(idx) (Some (s, i))
-    | Some _ -> go ((idx + 1) land tbl.mask)
+    if tbl.slots.(idx) < 0 then tbl.slots.(idx) <- i
+    else go ((idx + 1) land tbl.mask)
   in
   go (Hashtbl.hash s land tbl.mask)
 
 (* build the doubled table offline, publish it in one atomic store *)
 let resize () =
-  let old = Atomic.get table in
+  let old = Atomic.get table and names = Atomic.get names in
   let fresh = mk_table (2 * (old.mask + 1)) in
-  Array.iter
-    (fun slot ->
-      match Atomic.get slot with
-      | Some (s, i) -> insert fresh s i
-      | None -> ())
-    old.slots;
+  Array.iter (fun i -> if i >= 0 then insert fresh names.(i) i) old.slots;
   Atomic.set table fresh
 
 let intern_slow s =
@@ -89,7 +92,11 @@ let intern_slow s =
   i
 
 let intern s =
-  match probe (Atomic.get table) s with Some i -> i | None -> intern_slow s
+  if s = "" then intern_slow s
+  else
+    match probe (Atomic.get table) s with
+    | Some i -> i
+    | None -> intern_slow s
 
 let name i = (Atomic.get names).(i)
 let equal (a : t) (b : t) = a = b

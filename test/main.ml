@@ -12,6 +12,7 @@ let () =
       ("cml", Test_cml.suite);
       ("langs", Test_langs.suite);
       ("gkbms", Test_gkbms.suite);
+      ("navigation", Test_navigation.suite);
       ("group", Test_group.suite);
       ("dbpl-eval", Test_dbpl_eval.suite);
       ("assertion", Test_assertion.suite);

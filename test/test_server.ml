@@ -735,6 +735,39 @@ let test_group_commit_shares_fsyncs () =
   Daemon.stop daemon;
   rm_rf dir
 
+(* one durability point per decision: the commit record's sync makes
+   the daemon's own after-write sync a no-op on the clean file, while a
+   write that ends without a commit record (an abort) is still synced *)
+let test_one_sync_per_decision () =
+  let dir = Filename.temp_file "gkbms_sync_wal" "" in
+  Sys.remove dir;
+  let repo = keyed_repo ~docs:1 () in
+  let daemon = Daemon.create repo in
+  ok (Daemon.attach_wal daemon ~dir);
+  let client = Client.of_transport (Daemon.connect daemon) in
+  let fsyncs0 = counter_value "gkbms_wal_fsyncs_total" in
+  check bool "committed" true
+    (contains "run executed"
+       (req_ok client "run DecManualEdit Editor object=Doc0 text=v1"));
+  let fsyncs1 = counter_value "gkbms_wal_fsyncs_total" in
+  check int "a served run syncs exactly once" 1 (fsyncs1 - fsyncs0);
+  (* no text parameter: the editor fails after the decision began *)
+  (match Client.request client "run DecManualEdit Editor object=Doc0" with
+  | Ok out -> Alcotest.failf "expected the run to abort, got %S" out
+  | Error _ -> ());
+  let fsyncs2 = counter_value "gkbms_wal_fsyncs_total" in
+  check int "an aborted run syncs its abort record" 1 (fsyncs2 - fsyncs1);
+  (* the abort record reached the file before the answer, without a
+     close flushing it *)
+  let scan = ok (Durability.Wal.read_file (Gkbms.Durable.wal_path dir)) in
+  check bool "abort record on file" true
+    (List.exists
+       (function Durability.Wal.Decision_abort _ -> true | _ -> false)
+       scan.Durability.Wal.records);
+  Client.close client;
+  Daemon.stop daemon;
+  rm_rf dir
+
 (* the differential, with group commit on and pipelined clients — over
    the blocking driver (loopback) or the select event loop (socket) *)
 let differential_grouped ~event_loop () =
@@ -1028,6 +1061,7 @@ let suite =
     ("bqueue concurrent close conserves items", `Quick, test_bqueue_concurrent_close);
     ("batch admission conserves, orders, caps", `Quick, test_batch_admission_model);
     ("group commit shares fsyncs, acks durable", `Quick, test_group_commit_shares_fsyncs);
+    ("one sync per served decision, aborts synced", `Quick, test_one_sync_per_decision);
     ("differential: group commit + pipelining", `Quick, test_differential_grouped);
     ("differential: event loop + group commit", `Quick, test_differential_event_loop);
     ("event loop lifecycle and cleanup", `Quick, test_event_loop_lifecycle);
